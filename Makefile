@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_$(shell date +%Y%m%d-%H%M%S).json
 
-.PHONY: all build test race race-shard vet staticcheck fmt-check ci serve-smoke slo-smoke cluster-smoke bench bench-report bench-compare clean
+.PHONY: all build test race race-shard vet staticcheck fmt-check ci serve-smoke slo-smoke cluster-smoke health-smoke bench-smoke bench bench-report bench-compare clean
 
 all: build
 
@@ -41,9 +41,9 @@ fmt-check:
 	fi
 
 # ci is the gate a pull request must pass: formatting, static checks,
-# a clean build, the full test suite under the race detector, and the
-# job-service and gate-health smoke tests.
-ci: fmt-check vet staticcheck build race race-shard serve-smoke slo-smoke cluster-smoke health-smoke
+# a clean build, the full test suite under the race detector, the
+# job-service and gate-health smoke tests, and the gate-op bench smoke.
+ci: fmt-check vet staticcheck build race race-shard serve-smoke slo-smoke cluster-smoke health-smoke bench-smoke
 
 # serve-smoke boots uwm-serve on an ephemeral port, runs the example
 # client under a known request id, fetches that job's flight-recording
@@ -143,6 +143,12 @@ cluster-smoke:
 # drifted noise flagged, exactly one recalibration, live == offline.
 health-smoke:
 	$(GO) test -run 'TestWorkerDriftRecalibration' -count=1 ./internal/engine
+
+# bench-smoke runs the per-activation gate-op ladder (untraced and
+# flight-captured rungs) a fixed 100 times each, so the rungs keep
+# building and running; the numbers are not gated.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'GateOp' -benchtime 100x .
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -15,9 +15,11 @@ import (
 	"uwm/internal/core"
 	"uwm/internal/covert"
 	"uwm/internal/evalharness"
+	"uwm/internal/flightrec"
 	"uwm/internal/noise"
 	"uwm/internal/sha1wm"
 	"uwm/internal/skelly"
+	"uwm/internal/trace"
 	"uwm/internal/wmapt"
 )
 
@@ -175,9 +177,58 @@ func BenchmarkGateOp_BPAnd(b *testing.B) {
 	}
 }
 
+// fullCapture returns a flight-recorder tap pointed at a job capture
+// whose ring is already full, so every further event overwrites the
+// oldest one: the steady state of a long job on uwm-serve, which
+// flight-records every job by default.
+func fullCapture() trace.Sink {
+	fr := flightrec.New(flightrec.Config{})
+	c := fr.Begin(flightrec.Meta{JobID: "full-ring"})
+	for i := 0; i < fr.Config().MaxEventsPerTrace; i++ {
+		c.Emit(trace.Event{})
+	}
+	tap := flightrec.NewTap()
+	tap.Set(c)
+	return tap
+}
+
+// BenchmarkGateOp_BPAnd_Captured is BenchmarkGateOp_BPAnd with every
+// event landing in a full flight-recorder capture.
+func BenchmarkGateOp_BPAnd_Captured(b *testing.B) {
+	m := core.MustNewMachine(core.Options{Seed: 1, TrainIterations: 4, Sink: fullCapture()})
+	g, err := core.NewBPAnd(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := noise.NewRNG(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Run(rng.Bit(), rng.Bit()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGateOp_TSXAnd measures one full TSX AND activation.
 func BenchmarkGateOp_TSXAnd(b *testing.B) {
 	m := core.MustNewMachine(core.Options{Seed: 1})
+	g, err := core.NewTSXAnd(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := noise.NewRNG(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Run(rng.Bit(), rng.Bit()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGateOp_TSXAnd_Captured is BenchmarkGateOp_TSXAnd with every
+// event landing in a full flight-recorder capture.
+func BenchmarkGateOp_TSXAnd_Captured(b *testing.B) {
+	m := core.MustNewMachine(core.Options{Seed: 1, Sink: fullCapture()})
 	g, err := core.NewTSXAnd(m)
 	if err != nil {
 		b.Fatal(err)

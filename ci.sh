@@ -220,6 +220,11 @@ echo "== gate-health smoke =="
 # recalibration, with live and offline verdicts agreeing.
 go test -run 'TestWorkerDriftRecalibration' -count=1 ./internal/engine
 
+echo "== gate-op bench smoke =="
+# Keeps the per-activation ladder (untraced and flight-captured rungs)
+# building and running; the numbers are not gated.
+go test -run '^$' -bench 'GateOp' -benchtime 100x .
+
 echo "== bench report (quick sizes) =="
 go run ./cmd/uwm-bench -all -repeat 5 -json BENCH_ci.json >/dev/null
 

@@ -405,7 +405,7 @@ func CompileCircuit(m *Machine, spec *CircuitSpec) (*Circuit, error) {
 	nBytes := len(sized.Code) * isa.InstBytes
 	b := isa.NewBuilder(m.codeRegionN(nBytes/codeRegionSize + 1))
 	emit(b)
-	prog, err := b.Build()
+	prog, err := m.build(b)
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling circuit: %w", err)
 	}

@@ -75,6 +75,8 @@ type BPGate struct {
 	trainT, trainNT, touch, flushB []string
 	// span is the pre-built profiling frame name ("gate:AND").
 	span string
+	// readText[bit] is the pre-rendered timed-read payload.
+	readText [2]string
 
 	fires   *metrics.Counter
 	readLat *metrics.Histogram
@@ -181,7 +183,7 @@ func (g *BPGate) RunTimed(in ...int) (int, int64, error) {
 	g.fires.Inc()
 	g.readLat.Observe(float64(delta))
 	bit := g.m.ToBit(delta)
-	g.m.emitTimedRead(g.name, 0, bit, delta, g.out.Addr)
+	g.m.emitTimedRead(g.readText[bit], delta, g.out.Addr)
 	g.m.EndSpan(sp)
 	g.m.EndSpan(gsp)
 	return bit, delta, nil
@@ -295,7 +297,7 @@ func buildBPGate(m *Machine, name string, blocks []bpBlockSpec, prepCache bool, 
 		Rdtsc(isa.R12).
 		Halt()
 
-	prog, err := b.Build()
+	prog, err := m.build(b)
 	if err != nil {
 		return nil, fmt.Errorf("core: building %s: %w", name, err)
 	}
@@ -325,6 +327,7 @@ func buildBPGate(m *Machine, name string, blocks []bpBlockSpec, prepCache bool, 
 		wire:      wire,
 		truth:     truth,
 		span:      "gate:" + name,
+		readText:  timedReadTexts(name, 1)[0],
 	}
 	for i := range blocks {
 		g.trainT = append(g.trainT, fmt.Sprintf("train%d_t", i))

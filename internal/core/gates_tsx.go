@@ -50,6 +50,8 @@ type TSXGate struct {
 	// span is the pre-built profiling frame name ("gate:TSX_AND"), so
 	// activations never concatenate strings.
 	span string
+	// readText[i][bit] is output i's pre-rendered timed-read payload.
+	readText [][2]string
 
 	fires   *metrics.Counter
 	readLat *metrics.Histogram
@@ -140,7 +142,7 @@ func (g *TSXGate) ReadOutputs() ([]int, []int64, error) {
 		deltas[i] = d
 		bits[i] = g.m.ToBit(d)
 		g.readLat.Observe(float64(d))
-		g.m.emitTimedRead(g.name, i, bits[i], d, g.outs[i].Addr)
+		g.m.emitTimedRead(g.readText[i][bits[i]], d, g.outs[i].Addr)
 	}
 	g.m.EndSpan(sp)
 	return bits, deltas, nil
@@ -258,7 +260,7 @@ func (t *tsxBuild) emitFault(handler string) {
 // instruction cache, so the very first fire of a cold gate would
 // starve its own chain.
 func (t *tsxBuild) finish(name string, arity, outputs int, truth func([]int) []int) (*TSXGate, error) {
-	prog, err := t.b.Build()
+	prog, err := t.m.build(t.b)
 	if err != nil {
 		return nil, fmt.Errorf("core: building %s: %w", name, err)
 	}
@@ -272,7 +274,7 @@ func (t *tsxBuild) finish(name string, arity, outputs int, truth func([]int) []i
 	g := &TSXGate{
 		m: t.m, name: name, arity: arity, outputs: outputs,
 		prog: prog, ins: t.ins, outs: t.outs, truth: truth,
-		setEntries: set, span: "gate:" + name,
+		setEntries: set, span: "gate:" + name, readText: timedReadTexts(name, outputs),
 	}
 	g.fires, g.readLat = t.m.gateInstruments(name, "tsx")
 	for _, entry := range []string{"prep", "fire", "read", "prep"} {

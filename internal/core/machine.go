@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"uwm/internal/cpu"
 	"uwm/internal/isa"
@@ -114,6 +115,9 @@ type Machine struct {
 	calibProbe mem.Symbol
 	calibProg  *isa.Program
 	calibCount int64
+
+	// progs lists every program assembled for the machine (see build).
+	progs []*isa.Program
 
 	// healthTap receives calibration and timed-read events only (see
 	// Options.HealthTap).
@@ -256,6 +260,22 @@ func (m *Machine) codeRegionRaw(n int) mem.Addr {
 	return base
 }
 
+// build assembles b and registers the program with the machine.
+func (m *Machine) build(b *isa.Builder) (*isa.Program, error) {
+	prog, err := b.Build()
+	if err == nil {
+		m.progs = append(m.progs, prog)
+	}
+	return prog, err
+}
+
+// Programs returns every program assembled for the machine, in build
+// order: the calibration probe, gates, weird registers and compiled
+// circuits.
+func (m *Machine) Programs() []*isa.Program {
+	return append([]*isa.Program(nil), m.progs...)
+}
+
 // evictBase reserves an address range for one gate's eviction set:
 // count lines at evictStride spacing aliasing with victim's cache sets.
 func (m *Machine) evictBase(victim mem.Symbol, count int, tag string) []mem.Symbol {
@@ -277,13 +297,25 @@ func (m *Machine) run(prog *isa.Program, entry string) (cpu.Result, error) {
 	return m.cpu.Run(prog, entry)
 }
 
+// timedReadTexts renders, once per gate, the timed-read payload
+// "gate=NAME out=N bit=B" for every output and both decoded bits:
+// texts[out][bit]. health.parseTimedRead reads it back.
+func timedReadTexts(gate string, outputs int) [][2]string {
+	texts := make([][2]string, outputs)
+	for out := range texts {
+		prefix := "gate=" + gate + " out=" + strconv.Itoa(out) + " bit="
+		texts[out] = [2]string{prefix + "0", prefix + "1"}
+	}
+	return texts
+}
+
 // emitTimedRead publishes a gate's measured read latency on the
-// microarchitectural trace plane, tagged with the gate name, output
-// index and decoded bit so offline analysis (cmd/uwm-trace) can
-// reconstruct per-gate timelines and correlate speculative-window
-// lengths with gate outcomes. The text payload is only assembled when a
-// live sink is attached, keeping untraced activations allocation-free.
-func (m *Machine) emitTimedRead(gate string, out, bit int, delta int64, addr mem.Addr) {
+// microarchitectural trace plane. text is the gate's pre-rendered
+// timedReadTexts entry for the output and decoded bit, so offline
+// analysis (cmd/uwm-trace) can reconstruct per-gate timelines and
+// correlate speculative-window lengths with gate outcomes; emitting
+// the event allocates nothing, traced or not.
+func (m *Machine) emitTimedRead(text string, delta int64, addr mem.Addr) {
 	s := m.cpu.Sink()
 	live := trace.Enabled(s)
 	if !live && m.healthTap == nil {
@@ -294,7 +326,7 @@ func (m *Machine) emitTimedRead(gate string, out, bit int, delta int64, addr mem
 		Cycle: m.cpu.TSC(),
 		Addr:  uint64(addr),
 		Value: uint64(delta),
-		Text:  fmt.Sprintf("gate=%s out=%d bit=%d", gate, out, bit),
+		Text:  text,
 	}
 	if m.healthTap != nil {
 		m.healthTap.Emit(e)
@@ -357,7 +389,7 @@ func (m *Machine) calibrate() error {
 			Load(isa.R11, m.calibProbe, 0).
 			Rdtsc(isa.R12).
 			Halt()
-		prog, err := b.Build()
+		prog, err := m.build(b)
 		if err != nil {
 			return err
 		}

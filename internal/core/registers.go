@@ -109,7 +109,7 @@ func NewDCWR(m *Machine) (*DCWR, error) {
 	b.Label("w1").Load(isa.R3, sym, 0).Fence().Halt()
 	b.Label("w0").Clflush(sym, 0).Fence().Halt()
 	b.Label("read").Rdtsc(isa.R10).Load(isa.R11, sym, 0).Rdtsc(isa.R12).Halt()
-	prog, err := b.Build()
+	prog, err := m.build(b)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ func NewICWR(m *Machine) (*ICWR, error) {
 		b.Nop()
 	}
 	b.Rdtsc(isa.R12).Halt()
-	prog, err := b.Build()
+	prog, err := m.build(b)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,7 @@ func NewBPWR(m *Machine) (*BPWR, error) {
 	b.Label("br").Brz(isa.R1, "out")
 	b.Label("fall").Rdtsc(isa.R12).Halt()
 	b.Label("out").Rdtsc(isa.R12).Halt()
-	prog, err := b.Build()
+	prog, err := m.build(b)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +237,7 @@ func NewBTBWR(m *Machine) (*BTBWR, error) {
 	b.PadTo(base + mem.Addr(btbEntries*isa.InstBytes))
 	b.Label("jmpA2").Jmp("targetC")
 	b.Label("targetC").Rdtsc(isa.R12).Halt()
-	prog, err := b.Build()
+	prog, err := m.build(b)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +293,7 @@ func NewMulWR(m *Machine) (*MulWR, error) {
 		Mul(isa.R11, isa.R4, isa.R5).
 		Rdtsc(isa.R12).
 		Halt()
-	prog, err := b.Build()
+	prog, err := m.build(b)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +352,7 @@ func NewROBWR(m *Machine) (*ROBWR, error) {
 		b.MovI(isa.Reg(uint8(isa.R3)+uint8(i%4)), int64(i))
 	}
 	b.Rdtsc(isa.R12).Halt()
-	prog, err := b.Build()
+	prog, err := m.build(b)
 	if err != nil {
 		return nil, err
 	}

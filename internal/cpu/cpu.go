@@ -98,6 +98,10 @@ type CPU struct {
 	inflight map[mem.Addr]int64
 
 	txn *transaction
+	// txEvents is the reusable backing array of the open transaction's
+	// buffered events, so a traced region allocates nothing once the
+	// buffer has grown to the longest region seen.
+	txEvents []trace.Event
 	// observed models an attached debugger or single-stepping tracer:
 	// transactional regions abort the moment they begin.
 	observed bool
@@ -226,8 +230,9 @@ func (c *CPU) Recorder() *trace.Recorder {
 }
 
 // tracing reports whether an attached sink would observe an emitted
-// event; emit sites use it to skip expensive event assembly
-// (disassembly, formatting).
+// event; per-instruction emit sites check it before calling record so
+// the untraced loop pays one check. Event text is never formatted
+// here: disassembly comes pre-rendered from Program.Disasm.
 func (c *CPU) tracing() bool { return trace.Enabled(c.sink) }
 
 // record emits an event when a live sink is attached. Architectural
@@ -272,7 +277,7 @@ func (c *CPU) Run(prog *isa.Program, entry string) (Result, error) {
 				return res, errors.New("cpu: halt inside open transaction")
 			}
 			if c.tracing() {
-				c.record(trace.KindCommit, inst.Addr, 0, 0, inst.String())
+				c.record(trace.KindCommit, inst.Addr, 0, 0, prog.Disasm(idx))
 			}
 			res.Steps++
 			res.EndCycle = c.clock
@@ -283,9 +288,9 @@ func (c *CPU) Run(prog *isa.Program, entry string) (Result, error) {
 		// Record the commit before executing: if this instruction
 		// faults and aborts a transaction, the buffered event dies
 		// with the region, exactly like the retirement that never
-		// happened. (Guarded: disassembly is expensive.)
+		// happened. (Guarded to keep the untraced loop to one check.)
 		if c.tracing() {
-			c.record(trace.KindCommit, inst.Addr, 0, 0, inst.String())
+			c.record(trace.KindCommit, inst.Addr, 0, 0, prog.Disasm(idx))
 		}
 		next, err := c.step(prog, idx, inst, &res)
 		if err != nil {
@@ -399,7 +404,7 @@ func (c *CPU) step(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (int
 		c.hier.FlushInst(addr)
 		delete(c.inflight, addr.Line())
 		if c.tracing() {
-			c.record(trace.KindCacheFlush, inst.Addr, addr, 0, "clflush.i "+inst.Target)
+			c.record(trace.KindCacheFlush, inst.Addr, addr, 0, prog.Disasm(idx))
 		}
 		c.clock += cfg.FlushLatency
 
@@ -475,6 +480,7 @@ func (c *CPU) step(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (int
 				c.sink.Emit(e)
 			}
 		}
+		c.txEvents = committed[:0]
 		c.stats.TxCommits++
 		res.TxCommits++
 		c.record(trace.KindTxEnd, inst.Addr, 0, 0, "commit")
@@ -525,6 +531,7 @@ func (c *CPU) abortTxn2(prog *isa.Program, idx int, res *Result) int {
 func (c *CPU) abortTxn(prog *isa.Program, res *Result, spurious bool) int {
 	t := c.txn
 	c.txn = nil
+	c.txEvents = t.events[:0]
 	// Roll back memory writes in reverse order, then registers.
 	for i := len(t.writes) - 1; i >= 0; i-- {
 		c.mem.Write64(t.writes[i].addr, t.writes[i].old)
@@ -553,11 +560,11 @@ func (c *CPU) xbegin(prog *isa.Program, idx int, inst *isa.Inst, res *Result) (i
 	if c.txn != nil {
 		return 0, errors.New("cpu: nested transactions are not supported")
 	}
-	c.txn = &transaction{regs: c.regs, ready: c.ready, abortIdx: inst.TargetIdx}
+	c.txn = &transaction{regs: c.regs, ready: c.ready, abortIdx: inst.TargetIdx, events: c.txEvents}
 	c.stats.TxBegins++
 	c.clock += c.cfg.XBeginLatency
 	if c.tracing() {
-		c.record(trace.KindTxBegin, inst.Addr, 0, 0, "xbegin "+inst.Target)
+		c.record(trace.KindTxBegin, inst.Addr, 0, 0, prog.Disasm(idx))
 	}
 	if c.observed {
 		// A debugger single-stepping the region is a side effect and

@@ -63,7 +63,7 @@ loop:
 			break // fetch starved: body was not in the instruction cache
 		}
 		if c.tracing() {
-			c.record(trace.KindSpecExec, inst.Addr, 0, 0, inst.String())
+			c.record(trace.KindSpecExec, inst.Addr, 0, 0, prog.Disasm(idx))
 		}
 		res.SpecInsts++
 		c.stats.SpecInsts++

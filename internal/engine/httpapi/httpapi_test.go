@@ -93,10 +93,22 @@ func TestAsyncSubmitAndPoll(t *testing.T) {
 }
 
 func TestQueueFullMapsTo429(t *testing.T) {
-	// One worker occupied by a slow hash, queue of one: the third
-	// submission must bounce with 429 and a Retry-After hint.
+	// One worker held by a job that blocks until the test ends, queue
+	// of one: the third submission must bounce with 429 and a
+	// Retry-After hint.
+	release := make(chan struct{})
+	engine.Register("test-hold-worker", func(ctx context.Context, _ *engine.Env, _ json.RawMessage) (any, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return "released", nil
+	})
 	_, srv := newServer(t, engine.Config{Workers: 1, QueueDepth: 1})
-	slow := `{"type":"sha1","params":{"message":"` + strings.Repeat("z", 120) + `"}}`
+	// Cleanups run last-in first-out: the held jobs finish before the
+	// server's cleanup drains the engine.
+	t.Cleanup(func() { close(release) })
+	slow := `{"type":"test-hold-worker"}`
 	if resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(slow)); err != nil {
 		t.Fatal(err)
 	} else {

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -606,13 +607,34 @@ func RenderSnapshot(s Snapshot, width int) string {
 }
 
 // parseTimedRead extracts the gate name, output index and decoded bit
-// from the timed-read text payload ("gate=NAME out=N bit=B").
+// from the timed-read text payload ("gate=NAME out=N bit=B"), the one
+// parser of live monitoring and offline Replay. NAME must be non-empty
+// printable ASCII without spaces, N and B decimal integers, and nothing
+// may follow B. It runs once per timed read on the serving path, so it
+// slices the text instead of scanning it with fmt.
 func parseTimedRead(text string) (gate string, out, bit int, ok bool) {
-	if !strings.HasPrefix(text, "gate=") {
+	rest, found := strings.CutPrefix(text, "gate=")
+	if !found {
 		return "", 0, 0, false
 	}
-	n, err := fmt.Sscanf(text, "gate=%s out=%d bit=%d", &gate, &out, &bit)
-	if err != nil || n != 3 {
+	gate, rest, found = strings.Cut(rest, " out=")
+	if !found || gate == "" {
+		return "", 0, 0, false
+	}
+	for i := 0; i < len(gate); i++ {
+		if gate[i] <= ' ' || gate[i] > '~' {
+			return "", 0, 0, false
+		}
+	}
+	outText, bitText, found := strings.Cut(rest, " bit=")
+	if !found {
+		return "", 0, 0, false
+	}
+	out, err := strconv.Atoi(outText)
+	if err != nil {
+		return "", 0, 0, false
+	}
+	if bit, err = strconv.Atoi(bitText); err != nil {
 		return "", 0, 0, false
 	}
 	return gate, out, bit, true

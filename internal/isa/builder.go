@@ -8,7 +8,8 @@ import (
 
 // Builder assembles a Program in two passes: emission records
 // instructions and label definitions; Build resolves branch targets and
-// CLFL code addresses. Alignment helpers let gate builders place
+// CLFL code addresses and renders each instruction's disassembly once,
+// for the simulator's trace events (Program.Disasm). Alignment helpers let gate builders place
 // speculative bodies on their own cache lines — the code-alignment
 // management the paper's skelly framework performs (§6.2).
 type Builder struct {
@@ -227,8 +228,9 @@ func (b *Builder) XEnd() *Builder { return b.emit(Inst{Op: XEND}) }
 // XAbort explicitly aborts the current transactional region.
 func (b *Builder) XAbort() *Builder { return b.emit(Inst{Op: XABORT}) }
 
-// Build resolves labels and returns the program. It fails on duplicate
-// labels, undefined targets, or an empty program.
+// Build resolves labels, renders the disassembly and returns the
+// program. It fails on duplicate labels, undefined targets, or an empty
+// program.
 func (b *Builder) Build() (*Program, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
@@ -252,11 +254,15 @@ func (b *Builder) Build() (*Program, error) {
 		}
 		code[i].TargetIdx = idx
 	}
+	disasm := make([]string, len(code))
+	for i := range code {
+		disasm[i] = code[i].String()
+	}
 	labels := make(map[string]int, len(b.labels))
 	for k, v := range b.labels {
 		labels[k] = v
 	}
-	return &Program{Base: b.base, Code: code, labels: labels}, nil
+	return &Program{Base: b.base, Code: code, labels: labels, disasm: disasm}, nil
 }
 
 // MustBuild is Build panicking on error, for statically correct builders.

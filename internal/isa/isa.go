@@ -13,6 +13,7 @@ package isa
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"uwm/internal/mem"
@@ -43,8 +44,20 @@ const (
 	NumRegs = 16
 )
 
+// regNames holds every architectural register's assembly name, so
+// naming a register on the traced path is a table read.
+var regNames = [NumRegs]string{
+	"r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7",
+	"r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15",
+}
+
 // String returns the register's assembly name.
-func (r Reg) String() string { return fmt.Sprintf("r%d", uint8(r)) }
+func (r Reg) String() string {
+	if r < NumRegs {
+		return regNames[r]
+	}
+	return "r" + strconv.Itoa(int(r))
+}
 
 // Op is an instruction opcode.
 type Op uint8
@@ -169,11 +182,20 @@ func (i Inst) String() string {
 }
 
 // Program is an assembled instruction sequence with resolved labels.
+// Code must not be modified after Build: the disassembly rendered at
+// build time would no longer match it.
 type Program struct {
 	Base   mem.Addr
 	Code   []Inst
 	labels map[string]int
+	disasm []string // Code[i].String(), rendered once by Build
 }
+
+// Disasm returns the disassembly of instruction idx, rendered once when
+// the program was built, so trace emitters pay no formatting per event.
+// For CLFL and XBEGIN it is also the flush and transaction-begin marker
+// text ("clflush.i LABEL", "xbegin LABEL").
+func (p *Program) Disasm(idx int) string { return p.disasm[idx] }
 
 // Entry returns the instruction index of a label.
 func (p *Program) Entry(label string) (int, error) {
@@ -227,7 +249,7 @@ func (p *Program) Disassemble() string {
 		for _, l := range byIdx[i] {
 			fmt.Fprintf(&sb, "%s:\n", l)
 		}
-		fmt.Fprintf(&sb, "  %#08x  %s\n", uint64(inst.Addr), inst)
+		fmt.Fprintf(&sb, "  %#08x  %s\n", uint64(inst.Addr), p.disasm[i])
 	}
 	return sb.String()
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -167,6 +168,14 @@ func TestDisassembly(t *testing.T) {
 			t.Errorf("disassembly missing %q", want)
 		}
 	}
+	for i, inst := range p.Code {
+		if got, want := p.Disasm(i), inst.String(); got != want {
+			t.Errorf("Disasm(%d) = %q, String() = %q", i, got, want)
+		}
+	}
+	if got := p.Disasm(p.MustEntry("main") + 11); got != "clflush.i main" {
+		t.Errorf("CLFL marker text = %q", got)
+	}
 }
 
 func TestUses(t *testing.T) {
@@ -210,8 +219,10 @@ func TestLabelsCopy(t *testing.T) {
 }
 
 func TestOpAndRegStrings(t *testing.T) {
-	if R7.String() != "r7" {
-		t.Errorf("reg string = %s", R7)
+	for r := Reg(0); r < 20; r++ {
+		if got, want := r.String(), fmt.Sprintf("r%d", uint8(r)); got != want {
+			t.Errorf("Reg(%d).String() = %q, want %q", uint8(r), got, want)
+		}
 	}
 	if LOAD.String() != "load" || Op(250).String() == "" {
 		t.Error("op strings wrong")
